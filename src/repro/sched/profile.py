@@ -1231,19 +1231,15 @@ class SweepCursor:
             base = p._base_free
         if p._reservations:
             # Only reservations that have *started* by t can be active;
-            # the start-sorted timeline bounds the walk (membership of
-            # the active set is unchanged, so the state is identical).
+            # the start-sorted timeline bounds the walk, and one set
+            # difference folds every active claim out at once.
             hi = bisect_right(p._res_start_times, t_eps)
-            refs = p._res_start_refs
-            cur: Optional[set] = None
-            for i in range(hi):
-                res = refs[i]
-                if t < res.end - _EPS:
-                    if cur is None:
-                        cur = set(base)
-                    cur.difference_update(res.node_ids)
-            if cur is not None:
-                base = frozenset(cur)
+            claims = [
+                res.node_ids for res in p._res_start_refs[:hi]
+                if t < res.end - _EPS
+            ]
+            if claims:
+                base = base.difference(*claims)
         return base, k
 
     def _materialize_to(self, j: int) -> None:
@@ -1786,14 +1782,14 @@ class SweepCursor:
         num_res = len(reservations)
         start_times = p._res_start_times
         start_refs = p._res_start_refs
-        # Sliding window-claim state: nodes claimed by reservations
-        # whose start falls strictly inside the current candidate
-        # window ``(t, t + duration)``.  Both edges move right as the
-        # scan advances, so membership follows two monotone pointers
-        # with per-node claim counts — each reservation is touched
-        # O(1) times per scan, as in the stock implementation.
+        # Sliding window-claim state: the union of the node sets of
+        # reservations whose start falls strictly inside the current
+        # candidate window ``(t, t + duration)``.  Both edges move
+        # right as the scan advances, so membership follows two
+        # monotone pointers, and the union is rebuilt only when the
+        # pointer pair moves.
         wi_lo = wi_hi = 0
-        ws_claim: Dict[int, int] = {}
+        claims: FrozenSet[int] = frozenset()
 
         pending_direct: Optional[float] = None
         if start == times[0]:
@@ -1892,32 +1888,23 @@ class SweepCursor:
                 # Slide the window edges to ``(t, t + duration)``,
                 # mirroring the stock pointer discipline exactly
                 # (including the degenerate-window snap).
-                while wi_lo < num_res and start_times[wi_lo] <= t_eps:
-                    if wi_lo < wi_hi:
-                        for node_id in start_refs[wi_lo].node_ids:
-                            left = ws_claim[node_id] - 1
-                            if left:
-                                ws_claim[node_id] = left
-                            else:
-                                del ws_claim[node_id]
-                    wi_lo += 1
-                if wi_hi < wi_lo:
-                    wi_hi = wi_lo
-                while wi_hi < num_res and start_times[wi_hi] < end_eps:
-                    for node_id in start_refs[wi_hi].node_ids:
-                        ws_claim[node_id] = ws_claim.get(node_id, 0) + 1
-                    wi_hi += 1
-                if ws_claim:
-                    windowed = cnt
-                    for node_id in ws_claim:
-                        if node_id in free:
-                            windowed -= 1
+                lo = bisect_right(start_times, t_eps, wi_lo)
+                hi = bisect_left(start_times, end_eps, max(wi_hi, lo))
+                if lo != wi_lo or hi != wi_hi:
+                    wi_lo, wi_hi = lo, hi
+                    claims = frozenset().union(
+                        *[start_refs[w].node_ids for w in range(lo, hi)]
+                    )
+                hit = free & claims
+                if hit:
+                    # ``cnt`` is ``len(free)``, so this is the windowed
+                    # count the stock scan derives node by node.
+                    windowed = cnt - len(hit)
                     if windowed < nodes_needed:
                         if windowed > count_reject:
                             count_reject = windowed
                         continue
-                    if windowed != cnt:
-                        free = free - ws_claim.keys()
+                    free = free - hit
             result = self._window_accept(
                 t, t_eps, end, end_eps, k, free, job, remote_per_node,
                 placement, allocator, memory_aware, trial, trial_active,
@@ -1993,15 +1980,17 @@ class SweepCursor:
             pool = dict(p._base_pool_free)
         if has_res:
             res_index = p._res_index
-            for res in reservations:
-                if res.start <= t_eps and t < res.end - _EPS and res.pool_grants:
+            # ``wi_lo`` counts the reservations started by ``t_eps``;
+            # only those can hold active grants.
+            start_refs = p._res_start_refs
+            for res in start_refs[:wi_lo]:
+                if t < res.end - _EPS and res.pool_grants:
                     for pool_id, amount in res.pool_grants:
                         pool[pool_id] = pool.get(pool_id, 0) - amount
             if trial_active and trial.pool_grants:
                 for pool_id, amount in trial.pool_grants:
                     pool[pool_id] = pool.get(pool_id, 0) - amount
             if wi_lo < wi_hi:
-                start_refs = p._res_start_refs
                 for w in range(wi_lo, wi_hi):
                     res = start_refs[w]
                     if events is None:
