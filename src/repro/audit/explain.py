@@ -152,8 +152,8 @@ def _feasible(
 ) -> Tuple[bool, str]:
     """Mirror of ``Scheduler.try_start_now`` minus the gate: could the
     job physically start against the cluster's current state?"""
-    free = cluster.free_ids
-    if job.nodes > len(free):
+    free = cluster.free_mask
+    if job.nodes > free.bit_count():
         return False, BOUND_NODES
     node_ids = placement.select(
         cluster, free, job.nodes, job.remote_per_node, None

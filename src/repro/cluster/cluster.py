@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..errors import AllocationError
 from .fabric import Fabric
 from .node import Node, NodeState
+from .nodeset import ids_of, mask_of
 from .pool import MemoryPool
 from .rack import Rack
 from .spec import ClusterSpec
@@ -52,11 +53,11 @@ class Cluster:
         # Maintained capacity indexes: the scheduler hot path asks
         # "which nodes are free?" thousands of times per simulated
         # second, so the free set is kept incrementally instead of
-        # re-scanned, and pool lookups are prebuilt (pool identity
-        # never changes after construction).
-        self._free_ids: set[int] = {node.node_id for node in self.nodes}
-        self._free_frozen: Optional[FrozenSet[int]] = frozenset(self._free_ids)
-        self._free_sorted: Optional[List[int]] = sorted(self._free_ids)
+        # re-scanned (as a node-id bitmask, see :mod:`.nodeset`), and
+        # pool lookups are prebuilt (pool identity never changes after
+        # construction).
+        self._all_mask: int = mask_of(node.node_id for node in self.nodes)
+        self._free_mask: int = self._all_mask
         #: Monotone state-change counter: bumped by every mutation that
         #: can affect availability (node ownership, node state, pool
         #: grants).  Consumers use it to validate availability caches;
@@ -69,8 +70,6 @@ class Cluster:
         # a pass is one atomic decision unit.
         self._version_hold = False
         self._version_bumped = False
-        self._all_ids: FrozenSet[int] = frozenset(n.node_id for n in self.nodes)
-        self._all_sorted: List[int] = sorted(self._all_ids)
         self._pools: List[MemoryPool] = [
             rack.pool for rack in self.racks if rack.pool is not None
         ]
@@ -143,33 +142,22 @@ class Cluster:
 
     @property
     def free_node_count(self) -> int:
-        return len(self._free_ids)
+        return self._free_mask.bit_count()
 
     @property
-    def free_ids(self) -> FrozenSet[int]:
-        """Maintained frozenset of idle node ids (no scan)."""
-        if self._free_frozen is None:
-            self._free_frozen = frozenset(self._free_ids)
-        return self._free_frozen
+    def free_mask(self) -> int:
+        """Maintained bitmask of idle node ids (no scan)."""
+        return self._free_mask
 
     @property
-    def all_node_ids(self) -> FrozenSet[int]:
-        """Every node id, regardless of state (empty-machine queries)."""
-        return self._all_ids
-
-    def sorted_all_ids(self) -> List[int]:
-        """Every node id ascending, cached (do not mutate)."""
-        return self._all_sorted
+    def all_mask(self) -> int:
+        """Bitmask of every node id, regardless of state (empty-machine
+        queries)."""
+        return self._all_mask
 
     def sorted_free_ids(self) -> List[int]:
-        """Idle node ids ascending, cached (do not mutate).
-
-        Placement policies ask for the sorted free set on every
-        feasibility probe; the cache turns that into a slice.
-        """
-        if self._free_sorted is None:
-            self._free_sorted = sorted(self._free_ids)
-        return self._free_sorted
+        """Idle node ids ascending (a fresh list)."""
+        return ids_of(self._free_mask)
 
     def free_nodes(self) -> List[Node]:
         """All idle nodes in node-id order (deterministic)."""
@@ -227,18 +215,14 @@ class Cluster:
             for node in taken:
                 node.release(job_id)
             raise
-        self._free_ids.difference_update(node_ids)
-        self._free_frozen = None
-        self._free_sorted = None
+        self._free_mask &= ~mask_of(node_ids)
         self._bump_version()
 
     def release_nodes(self, job_id: int, node_ids: Iterable[int]) -> None:
         node_ids = list(node_ids)
         for node_id in node_ids:
             self.nodes[node_id].release(job_id)
-        self._free_ids.update(node_ids)
-        self._free_frozen = None
-        self._free_sorted = None
+        self._free_mask |= mask_of(node_ids)
         self._bump_version()
 
     def take_down(self, node_id: int) -> None:
@@ -252,9 +236,7 @@ class Cluster:
         node.mark_down()
         self._bump_version()
         if was_free:
-            self._free_ids.discard(node_id)
-            self._free_frozen = None
-            self._free_sorted = None
+            self._free_mask &= ~(1 << node_id)
 
     def bring_up(self, node_id: int) -> None:
         """Return a DOWN node to service."""
@@ -262,9 +244,7 @@ class Cluster:
         if node.state is NodeState.DOWN:
             node.mark_up()
             self._bump_version()
-            self._free_ids.add(node_id)
-            self._free_frozen = None
-            self._free_sorted = None
+            self._free_mask |= 1 << node_id
 
     def allocate_pool(self, job_id: int, grants: Dict[str, int]) -> None:
         """Apply pool grants ``{pool_id: MiB}`` atomically for ``job_id``."""
@@ -299,7 +279,7 @@ class Cluster:
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Cheap state snapshot for metrics sampling."""
-        free_count = len(self._free_ids)
+        free_count = self.free_node_count
         return {
             "free_nodes": free_count,
             "busy_nodes": self.num_nodes - free_count

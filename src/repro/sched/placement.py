@@ -7,8 +7,10 @@ with rack-local pools, the racks a job spans determine which pools
 absorb its remote memory, so packing versus spreading moves pool
 pressure around.  Experiment T4 ablates exactly this.
 
-Policies return node-id lists in deterministic order, or ``None`` when
-they cannot produce a placement (fewer free nodes than requested).
+Policies receive the free nodes as a bitmask (bit *i* set when node *i*
+is free, see :mod:`repro.cluster.nodeset`) and return node-id lists in
+deterministic order, or ``None`` when they cannot produce a placement
+(fewer free nodes than requested).
 They never check pool capacity — that is the allocator's job — but
 pool-aware policies use the free-capacity hint for *ordering*.
 """
@@ -16,9 +18,10 @@ pool-aware policies use the free-capacity hint for *ordering*.
 from __future__ import annotations
 
 import abc
-from typing import Dict, FrozenSet, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from ..cluster.cluster import Cluster
+from ..cluster.nodeset import ids_of, lowest
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -47,33 +50,24 @@ class PlacementPolicy(abc.ABC):
     def select(
         self,
         cluster: Cluster,
-        free_nodes: FrozenSet[int],
+        free_mask: int,
         count: int,
         remote_per_node: int,
         pool_free: Optional[Mapping[str, int]] = None,
     ) -> Optional[List[int]]:
-        """Pick ``count`` nodes from ``free_nodes`` or return ``None``.
+        """Pick ``count`` nodes from the bitmask ``free_mask`` or return
+        ``None``.
 
         ``remote_per_node`` and ``pool_free`` are hints for pool-aware
         ordering; capacity enforcement happens in the allocator.
         """
 
     @staticmethod
-    def _sorted_ids(cluster: Cluster, free_nodes: FrozenSet[int]) -> List[int]:
-        """``sorted(free_nodes)``, served from the cluster's cache when
-        the caller passed the live free set (identity check — the
-        values are the same either way)."""
-        if free_nodes is cluster.free_ids:
-            return cluster.sorted_free_ids()
-        if free_nodes is cluster.all_node_ids:
-            return cluster.sorted_all_ids()
-        return sorted(free_nodes)
-
-    @classmethod
-    def _by_rack(cls, cluster: Cluster, free_nodes: FrozenSet[int]) -> Dict[int, List[int]]:
+    def _by_rack(cluster: Cluster, free_mask: int) -> Dict[int, List[int]]:
+        """Free node ids grouped by rack, ascending within each rack."""
         racks: Dict[int, List[int]] = {}
         nodes = cluster.nodes
-        for node_id in cls._sorted_ids(cluster, free_nodes):
+        for node_id in ids_of(free_mask):
             racks.setdefault(nodes[node_id].rack_id, []).append(node_id)
         return racks
 
@@ -83,10 +77,10 @@ class FirstFitPlacement(PlacementPolicy):
 
     name = "first_fit"
 
-    def select(self, cluster, free_nodes, count, remote_per_node, pool_free=None):
-        if len(free_nodes) < count:
+    def select(self, cluster, free_mask, count, remote_per_node, pool_free=None):
+        if free_mask.bit_count() < count:
             return None
-        return self._sorted_ids(cluster, free_nodes)[:count]
+        return lowest(free_mask, count)
 
 
 class RackPackPlacement(PlacementPolicy):
@@ -100,10 +94,10 @@ class RackPackPlacement(PlacementPolicy):
 
     name = "rack_pack"
 
-    def select(self, cluster, free_nodes, count, remote_per_node, pool_free=None):
-        if len(free_nodes) < count:
+    def select(self, cluster, free_mask, count, remote_per_node, pool_free=None):
+        if free_mask.bit_count() < count:
             return None
-        racks = self._by_rack(cluster, free_nodes)
+        racks = self._by_rack(cluster, free_mask)
         # Most free nodes first => fewest racks touched; rack id ties.
         ordered = sorted(racks.items(), key=lambda kv: (-len(kv[1]), kv[0]))
         chosen: List[int] = []
@@ -127,10 +121,10 @@ class MinRemotePlacement(PlacementPolicy):
     name = "min_remote"
     uses_pool_hint = True
 
-    def select(self, cluster, free_nodes, count, remote_per_node, pool_free=None):
-        if len(free_nodes) < count:
+    def select(self, cluster, free_mask, count, remote_per_node, pool_free=None):
+        if free_mask.bit_count() < count:
             return None
-        racks = self._by_rack(cluster, free_nodes)
+        racks = self._by_rack(cluster, free_mask)
 
         def rack_pool_free(rack_id: int) -> int:
             pool = cluster.rack(rack_id).pool
@@ -164,10 +158,10 @@ class SpreadPlacement(PlacementPolicy):
 
     name = "spread"
 
-    def select(self, cluster, free_nodes, count, remote_per_node, pool_free=None):
-        if len(free_nodes) < count:
+    def select(self, cluster, free_mask, count, remote_per_node, pool_free=None):
+        if free_mask.bit_count() < count:
             return None
-        racks = self._by_rack(cluster, free_nodes)
+        racks = self._by_rack(cluster, free_mask)
         queues = [list(nodes) for _, nodes in sorted(racks.items())]
         chosen: List[int] = []
         index = 0

@@ -16,7 +16,7 @@ identity matter: 16 free nodes spread over 4 racks cannot use a single
 rack's pool the way 16 nodes in one rack can.
 
 Implementation: a sorted release timeline with a cumulative sweep —
-free-node set, pool levels, and released-node counts per breakpoint —
+free-node mask, pool levels, and released-node counts per breakpoint —
 materialized lazily as queries reach deeper into the future and cached
 thereafter.  Queries bisect into the cached sweep instead of replaying
 all releases (the old implementation rescanned every release and
@@ -73,9 +73,23 @@ cursor's lifetime is no longer bounded by the pass either:
   ``truncate_reservations`` recompute only the materialized states the
   dropped claims could touch (:meth:`SweepCursor._on_remove`) and
   retire grid times that stop being breakpoints;
-* only ``clear_reservations`` — the stock pass's bulk teardown, which
-  the retained-plan fast path avoids — still drops the cursor; the
-  next scan rebuilds lazily.
+* only ``clear_reservations`` still drops the cursor; the next scan
+  rebuilds lazily.  Conservative backfill reaches it whenever a pass
+  discards its whole retained plan — a queue-head spill,
+  ``truncate_reservations(0)``, or a plan that cannot be kept — which
+  on a congested trace is close to half of all passes.
+
+Node sets in the hot data — the base and cumulative release sweep,
+the cursor's materialized states, window claims and fold patches, each
+reservation's node set (:attr:`Reservation.mask`), and the free set
+handed to placement — are ``int`` bitmasks with bit *i* standing for
+node *i* (:mod:`repro.cluster.nodeset`).  Set algebra is then
+word-parallel (``|``, ``& ~``, ``bit_count()``) instead of per-element
+hashing.  The stock queries (:meth:`AvailabilityProfile.earliest_start`,
+``free_at``, ``window_free``) keep their node-by-node algorithm and
+``frozenset`` results, converting a mask once on entry (views are
+cached per profile): they stay the independent reference the cursor is
+checked against.
 
 All query results are bitwise identical to the brute-force oracle
 (``tests/_oracles.py``); the equivalence suite enforces this on
@@ -92,7 +106,7 @@ from __future__ import annotations
 import os
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -101,6 +115,7 @@ try:  # the vectorized kernel is optional; the scalar path is complete
 except ImportError:  # pragma: no cover - numpy is in the standard image
     _np = None
 
+from ..cluster.nodeset import ids_of, mask_of
 from ..workload.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -114,6 +129,9 @@ __all__ = [
 ]
 
 _OVERRUN_GRACE = 1.0  # seconds: expected end for already-overrun jobs
+#: Bound on a profile's cache of ``frozenset`` views of node masks (the
+#: stock queries' entry conversion, see :meth:`AvailabilityProfile._view`).
+_VIEW_CACHE = 64
 _EPS = 1e-9
 
 #: Sweep-kernel selection: ``numpy`` vectorizes the cursor's
@@ -222,13 +240,21 @@ def _event_order(event: tuple) -> tuple:
 
 @dataclass(frozen=True, slots=True)
 class Reservation:
-    """A promised window of resources for one job."""
+    """A promised window of resources for one job.
+
+    ``mask`` is ``node_ids`` as a node bitmask, computed once at
+    construction.  It is derived data: equality and hashing ignore it.
+    """
 
     job_id: int
     start: float
     end: float
     node_ids: Tuple[int, ...]
     pool_grants: Tuple[Tuple[str, int], ...]  # sorted (pool_id, MiB)
+    mask: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mask", mask_of(self.node_ids))
 
     @property
     def plan(self) -> Dict[str, int]:
@@ -257,13 +283,15 @@ class AvailabilityProfile:
         the remaining time from ``job.start_time``."""
         self._cluster = cluster
         self._now = now
-        self._base_free: FrozenSet[int] = cluster.free_ids
+        self._base_free: int = cluster.free_mask  # node bitmask
         self._base_pool_free: Dict[str, int] = {
             pool.pool_id: pool.free for pool in cluster.all_pools()
         }
         # Node lists and grant dicts are referenced, not copied: both
         # are written once at job start and never mutated afterwards,
-        # and the profile is ephemeral (one scheduling pass).
+        # so they stay valid for as long as the profile is reused
+        # (strategies keep it across passes, folding starts and
+        # completions in place).
         releases: List[Tuple[float, Iterable[int], Dict[str, int]]] = []
         #: Any release clamped by the overrun convention?  A clamped
         #: time is a function of *this* build's ``now``, so such a
@@ -288,7 +316,7 @@ class AvailabilityProfile:
         self._rel_cum_count: List[int] = list(
             accumulate(len(item[1]) for item in releases)
         )
-        self._rel_cum_free: List[FrozenSet[int]] = []  # lazy prefix
+        self._rel_cum_free: List[int] = []  # lazy prefix of node masks
         self._rel_cum_pool: List[Dict[str, int]] = []  # lazy prefix
         # Subsequence of releases that return pool memory (window scans).
         self._grant_times: List[float] = [
@@ -315,6 +343,9 @@ class AvailabilityProfile:
         #: Pass-shared sweep cursor (see :class:`SweepCursor`); built
         #: lazily, dropped by any mutation it cannot track in place.
         self._cursor: Optional["SweepCursor"] = None
+        #: ``frozenset`` views of node masks for the stock queries,
+        #: keyed by mask value (so never stale); see :meth:`_view`.
+        self._views: Dict[int, FrozenSet[int]] = {}
 
     def _ensure_swept(self, k: int) -> None:
         """Materialize cumulative sweep entries up to index ``k``."""
@@ -328,7 +359,7 @@ class AvailabilityProfile:
         prev_pool = cum_pool[i - 1] if i else self._base_pool_free
         while i <= k:
             _, node_ids, grants = releases[i]
-            cur_free = cur_free.union(node_ids)
+            cur_free |= mask_of(node_ids)
             prev_pool = dict(prev_pool)
             if grants:
                 for pool_id, amount in grants.items():
@@ -506,12 +537,14 @@ class AvailabilityProfile:
             self._cursor._on_remove((actual,))
 
     def clear_reservations(self) -> None:
-        """Drop every reservation at once (pass teardown).
+        """Drop every reservation at once.
 
         Equivalent to ``remove_reservation`` over the whole list but
-        O(count): conservative backfill lays down ``depth``
-        reservations per pass and discards them all before caching the
-        profile for the next cycle.
+        O(count), and the one mutation that drops the sweep cursor
+        instead of patching it.  Conservative backfill keeps its plan
+        across passes; it clears only when a pass discards the whole
+        plan (a queue-head spill, ``truncate_reservations(0)``, or a
+        plan that is not retained).
         """
         if not self._reservations:
             return
@@ -589,7 +622,8 @@ class AvailabilityProfile:
             est_end = self._now + _OVERRUN_GRACE
             self._has_clamped_release = True
         node_ids = tuple(node_ids)  # materialize once: consumed twice below
-        node_set = frozenset(node_ids)
+        node_mask = mask_of(node_ids)
+        keep = ~node_mask
         grants = dict(pool_grants)
         pos = bisect_right(self._rel_times, est_end)
         swept = len(self._rel_cum_free)
@@ -598,8 +632,9 @@ class AvailabilityProfile:
         # after the insertion point are untouched — the subtraction and
         # the new release cancel exactly — and unmaterialized entries
         # need nothing: the lazy sweep will see the updated raw arrays.
+        cum_free = self._rel_cum_free
         for i in range(min(pos, swept)):
-            self._rel_cum_free[i] = self._rel_cum_free[i] - node_set
+            cum_free[i] &= keep
             if grants:
                 pool_entry = self._rel_cum_pool[i]
                 for pool_id, amount in grants.items():
@@ -610,33 +645,34 @@ class AvailabilityProfile:
             # A patched prefix entry must be un-patched to recover it;
             # the base (pos == 0) has not been shrunk yet.
             if pos:
-                entry_free = self._rel_cum_free[pos - 1].union(node_set)
+                entry_free = cum_free[pos - 1] | node_mask
                 entry_pool = dict(self._rel_cum_pool[pos - 1])
                 for pool_id, amount in grants.items():
                     entry_pool[pool_id] = entry_pool.get(pool_id, 0) + amount
             else:
                 entry_free = self._base_free
                 entry_pool = dict(self._base_pool_free)
-            self._rel_cum_free.insert(pos, entry_free)
+            cum_free.insert(pos, entry_free)
             self._rel_cum_pool.insert(pos, entry_pool)
-        self._base_free = self._base_free - node_set
+        self._base_free &= keep
         for pool_id, amount in grants.items():
             self._base_pool_free[pool_id] = (
                 self._base_pool_free.get(pool_id, 0) - amount
             )
         self._rel_times.insert(pos, est_end)
         self._releases.insert(pos, (est_end, node_ids, grants))
+        count = node_mask.bit_count()
         released = self._rel_cum_count[pos - 1] if pos else 0
-        self._rel_cum_count.insert(pos, released + len(node_set))
+        self._rel_cum_count.insert(pos, released + count)
         for i in range(pos + 1, len(self._rel_cum_count)):
-            self._rel_cum_count[i] += len(node_set)
+            self._rel_cum_count[i] += count
         if grants:
             gpos = bisect_right(self._grant_times, est_end)
             self._grant_times.insert(gpos, est_end)
             self._grant_maps.insert(gpos, grants)
         self.mutation_count += 1
         if self._cursor is not None:
-            self._cursor._on_apply_start(node_set, est_end)
+            self._cursor._on_apply_start(node_mask, est_end)
 
     def apply_release(
         self,
@@ -676,23 +712,31 @@ class AvailabilityProfile:
         else:
             return False
         entry_grants = self._releases[pos][2]
-        node_set = frozenset(node_tuple)
-        if self._rel_cum_free:
-            # Unlike apply_start (mid-pass, hot sweep), releases land
-            # between passes: dropping the materialized sweep is
-            # cheaper than rewriting a long prefix of frozensets, and
-            # the lazy sweep rebuilds on demand from the updated raw
-            # timeline.
-            self._rel_cum_free.clear()
-            self._rel_cum_pool.clear()
-        self._base_free = self._base_free | node_set
+        node_mask = mask_of(node_tuple)
+        # Patch the materialized prefix: entries before the removed
+        # one gain the resources, the removed entry's own state leaves
+        # (the entry after it already included the release), and
+        # unmaterialized entries need nothing.
+        cum_free = self._rel_cum_free
+        cum_pool = self._rel_cum_pool
+        swept = len(cum_free)
+        for i in range(min(pos, swept)):
+            cum_free[i] |= node_mask
+            if grants:
+                pool_entry = cum_pool[i]
+                for pool_id, amount in grants.items():
+                    pool_entry[pool_id] = pool_entry.get(pool_id, 0) + amount
+        if pos < swept:
+            del cum_free[pos]
+            del cum_pool[pos]
+        self._base_free |= node_mask
         for pool_id, amount in grants.items():
             self._base_pool_free[pool_id] = (
                 self._base_pool_free.get(pool_id, 0) + amount
             )
         del rel_times[pos]
         del self._releases[pos]
-        count = len(node_set)
+        count = node_mask.bit_count()
         cum = self._rel_cum_count
         del cum[pos]
         for i in range(pos, len(cum)):
@@ -705,7 +749,7 @@ class AvailabilityProfile:
             del self._grant_maps[gpos]
         self.mutation_count += 1
         if self._cursor is not None:
-            self._cursor._on_apply_release(node_set, est_end)
+            self._cursor._on_apply_release(node_mask, est_end)
         return True
 
     # ------------------------------------------------------------------
@@ -760,14 +804,27 @@ class AvailabilityProfile:
         return out
 
     # ------------------------------------------------------------------
+    def _view(self, mask: int) -> FrozenSet[int]:
+        """``mask`` as a ``frozenset`` of node ids: the stock queries'
+        one conversion on entry.  Repeated queries convert the same
+        few sweep states, so views are cached by mask value, at most
+        :data:`_VIEW_CACHE` of them."""
+        views = self._views
+        view = views.get(mask)
+        if view is None:
+            if len(views) >= _VIEW_CACHE:
+                views.clear()
+            view = views[mask] = frozenset(ids_of(mask))
+        return view
+
     def _nodes_at(self, time: float) -> FrozenSet[int]:
         """Free node set at instant ``time`` (cached-sweep bisect)."""
         k = bisect_right(self._rel_times, time + _EPS)
         if k:
             self._ensure_swept(k - 1)
-            base = self._rel_cum_free[k - 1]
+            base = self._view(self._rel_cum_free[k - 1])
         else:
-            base = self._base_free
+            base = self._view(self._base_free)
         if not self._reservations:
             return base
         free: Optional[set] = None
@@ -918,7 +975,8 @@ class AvailabilityProfile:
         nodes_needed = job.nodes
         rel_times = self._rel_times
         cum_count = self._rel_cum_count
-        base_count = len(self._base_free)
+        base_free = self._view(self._base_free)
+        base_count = len(base_free)
         reservations = self._reservations
         releases = self._releases
         grant_times = self._grant_times
@@ -963,7 +1021,7 @@ class AvailabilityProfile:
             if (
                 only.start <= self._now + _EPS
                 and only.end - _EPS > not_after
-                and self._base_free.issuperset(trial_nodes)
+                and base_free.issuperset(trial_nodes)
             ):
                 tighten = len(trial_nodes)
         for t in self.breakpoints(after=after, not_after=not_after):
@@ -981,7 +1039,7 @@ class AvailabilityProfile:
             # ``cur`` and the ``overlap`` counter track every change
             # in place.
             if cur is None:
-                avail = set(self._base_free)
+                avail = set(base_free)
                 cur = set(avail)
             while last_k < k:
                 for node_id in releases[last_k][1]:
@@ -1094,7 +1152,8 @@ class AvailabilityProfile:
                 if events:
                     self._apply_pool_events(pool, pool_min, events)
             node_ids = placement.select(
-                self._cluster, free, nodes_needed, remote_per_node, pool_min
+                self._cluster, mask_of(free), nodes_needed, remote_per_node,
+                pool_min,
             )
             if node_ids is None:
                 continue
@@ -1128,7 +1187,7 @@ class SweepCursor:
     reservation's start/end events.  The cursor hoists the *point-in-
     time* half of that state out of the scan: for each breakpoint of
     the merged grid it materializes (lazily, in grid order, only as
-    deep as scans actually reach) the exact free-node set — releases
+    deep as scans actually reach) the exact free-node mask — releases
     folded in, active reservation claims folded out — plus its size
     and the release-timeline position.  Scans then reject a breakpoint
     with one integer compare, and only the *window* half (reservations
@@ -1144,7 +1203,7 @@ class SweepCursor:
     * :meth:`AvailabilityProfile.add_reservation` keeps the cursor
       live by inserting the new bounds into the grid (fresh states,
       computed directly) and subtracting the new claim from the
-      materialized points inside its window — set difference is
+      materialized points inside its window — mask difference is
       idempotent, so the patch is exact without claim counts;
       withdrawals (:meth:`_on_remove`) recompute the affected window
       instead, since claim folding is not invertible from the states
@@ -1196,9 +1255,9 @@ class SweepCursor:
         #: Merged breakpoint grid (deduplicated, ascending, anchored
         #: at the profile instant) — exactly ``profile.breakpoints()``.
         self._times: List[float] = profile.breakpoints()
-        # Materialized prefix, aligned with _times: exact free set,
-        # its size, and bisect_right(rel_times, t + eps).
-        self._free: List[FrozenSet[int]] = []
+        # Materialized prefix, aligned with _times: exact free-node
+        # mask, its size, and bisect_right(rel_times, t + eps).
+        self._free: List[int] = []
         self._counts: List[int] = []
         self._k: List[int] = []
         # Vectorized-kernel state (see module doc): the Python lists
@@ -1219,8 +1278,8 @@ class SweepCursor:
         self.last_scan_pool_rejects: int = 0
 
     # ------------------------------------------------------------------
-    def _state_at(self, t: float) -> Tuple[FrozenSet[int], int]:
-        """Exact (free set, release index) at instant ``t``."""
+    def _state_at(self, t: float) -> Tuple[int, int]:
+        """Exact (free-node mask, release index) at instant ``t``."""
         p = self._p
         t_eps = t + _EPS
         k = bisect_right(p._rel_times, t_eps)
@@ -1231,15 +1290,15 @@ class SweepCursor:
             base = p._base_free
         if p._reservations:
             # Only reservations that have *started* by t can be active;
-            # the start-sorted timeline bounds the walk, and one set
+            # the start-sorted timeline bounds the walk, and one mask
             # difference folds every active claim out at once.
             hi = bisect_right(p._res_start_times, t_eps)
-            claims = [
-                res.node_ids for res in p._res_start_refs[:hi]
-                if t < res.end - _EPS
-            ]
+            claims = 0
+            for res in p._res_start_refs[:hi]:
+                if t < res.end - _EPS:
+                    claims |= res.mask
             if claims:
-                base = base.difference(*claims)
+                base &= ~claims
         return base, k
 
     def _materialize_to(self, j: int) -> None:
@@ -1254,7 +1313,7 @@ class SweepCursor:
         while i <= j:
             state, k = self._state_at(times[i])
             free.append(state)
-            counts.append(len(state))
+            counts.append(state.bit_count())
             ks.append(k)
             i += 1
         self._grid_rev += 1
@@ -1263,7 +1322,7 @@ class SweepCursor:
         """Materialize a freshly inserted grid time at ``pos``."""
         state, k = self._state_at(self._times[pos])
         self._free.insert(pos, state)
-        self._counts.insert(pos, len(state))
+        self._counts.insert(pos, state.bit_count())
         self._k.insert(pos, k)
 
     def _rebase(self, now: float) -> None:
@@ -1323,7 +1382,7 @@ class SweepCursor:
                         self._insert_point(pos)
         if not free:
             return
-        node_ids = res.node_ids
+        mask = res.mask
         counts = self._counts
         start, end = res.start, res.end
         lo = bisect_left(times, start - _EPS)
@@ -1331,13 +1390,12 @@ class SweepCursor:
         for j in range(lo, hi):
             t = times[j]
             if start <= t + _EPS and t < end - _EPS:
-                state = free[j]
-                if not state.isdisjoint(node_ids):
-                    state = state.difference(node_ids)
-                    free[j] = state
-                    counts[j] = len(state)
+                hit = free[j] & mask
+                if hit:
+                    free[j] ^= hit
+                    counts[j] -= hit.bit_count()
 
-    def _on_apply_start(self, node_set: FrozenSet[int], est_end: float) -> None:
+    def _on_apply_start(self, node_mask: int, est_end: float) -> None:
         """Track an ``apply_start`` fold on the live profile, in place.
 
         Called after the profile's own patch completed.  The fold's
@@ -1360,11 +1418,10 @@ class SweepCursor:
             if est_end <= times[j] + _EPS:
                 ks[j] += 1
             else:
-                state = free[j]
-                if not state.isdisjoint(node_set):
-                    state = state - node_set
-                    free[j] = state
-                    counts[j] = len(state)
+                hit = free[j] & node_mask
+                if hit:
+                    free[j] ^= hit
+                    counts[j] -= hit.bit_count()
         if est_end > times[0]:
             pos = bisect_left(times, est_end)
             if pos == len(times) or times[pos] != est_end:
@@ -1372,7 +1429,7 @@ class SweepCursor:
                 if pos < len(free):
                     self._insert_point(pos)
 
-    def _on_apply_release(self, node_set: FrozenSet[int], est_end: float) -> None:
+    def _on_apply_release(self, node_mask: int, est_end: float) -> None:
         """Track an ``apply_release`` fold on the live profile, in place.
 
         The inverse of :meth:`_on_apply_start`: states strictly before
@@ -1391,25 +1448,22 @@ class SweepCursor:
         counts = self._counts
         ks = self._k
         p = self._p
-        claimants = [
-            res for res in p._reservations
-            if not node_set.isdisjoint(res.node_ids)
-        ]
+        claimants = [res for res in p._reservations if res.mask & node_mask]
         for j in range(len(free)):
             t = times[j]
             if est_end <= t + _EPS:
                 ks[j] -= 1
             else:
-                add = node_set
+                add = node_mask
                 for res in claimants:
                     if res.start <= t + _EPS and t < res.end - _EPS:
-                        add = add.difference(res.node_ids)
+                        add &= ~res.mask
                         if not add:
                             break
                 if add:
                     state = free[j] | add
                     free[j] = state
-                    counts[j] = len(state)
+                    counts[j] = state.bit_count()
         pos = bisect_left(times, est_end)
         if pos < len(times) and times[pos] == est_end and pos:
             if not self._is_breakpoint(est_end):
@@ -1440,7 +1494,7 @@ class SweepCursor:
                 if res.start <= t + _EPS and t < res.end - _EPS:
                     state, k = self._state_at(t)
                     free[j] = state
-                    counts[j] = len(state)
+                    counts[j] = state.bit_count()
                     ks[j] = k
                     break
         anchor = times[0]
@@ -1523,9 +1577,9 @@ class SweepCursor:
         rel_np = _np.asarray(rel, dtype=_np.float64)
         ks_all = _np.searchsorted(rel_np, times_np + _EPS, side="right")
         len_np = _np.empty(n + 1, dtype=_np.int64)
-        len_np[0] = len(p._base_free)
+        len_np[0] = p._base_free.bit_count()
         for i, state in enumerate(p._rel_cum_free):
-            len_np[i + 1] = len(state)
+            len_np[i + 1] = state.bit_count()
         counts_all = len_np[ks_all]
         self._assert_kernel_dtypes(times_np, counts_all)
         self._nores_cache = (key, ks_all, counts_all)
@@ -1542,7 +1596,6 @@ class SweepCursor:
         memory_aware: bool,
         not_after: Optional[float],
         trial: Optional[Reservation],
-        trial_nodes: Optional[FrozenSet[int]],
         trial_end_eps: float,
         trial_const: Optional[int],
         extra: Optional[float],
@@ -1558,7 +1611,7 @@ class SweepCursor:
         consequences of the release timeline alone, window-claim
         state is empty, and a trial overlay subtracts the constant
         ``trial_const`` while active.  Accepted candidates fetch the
-        exact free set from the shared cumulative sweep in O(1); the
+        exact free mask from the shared cumulative sweep in O(1); the
         materialized prefix is never forced.
         """
         p = self._p
@@ -1573,13 +1626,13 @@ class SweepCursor:
         cap = total if not_after is None else bisect_right(times, not_after)
         split = bisect_left(times, trial_end_eps) if trial is not None else 0
 
-        def accept(t: float, k: int, fs: FrozenSet[int], cnt: int,
+        def accept(t: float, k: int, fs: int, cnt: int,
                    cnt0: int) -> Optional[Reservation]:
             nonlocal pool_rejects
             trial_active = trial is not None and t < trial_end_eps
             free = fs
             if trial_active and cnt != cnt0:
-                free = fs.difference(trial_nodes)
+                free = fs & ~trial.mask
             result = self._window_accept(
                 t, t + _EPS, t + duration, t + duration - _EPS, k, free,
                 job, remote_per_node, placement, allocator, memory_aware,
@@ -1594,7 +1647,7 @@ class SweepCursor:
             # end): evaluated exactly as the scalar loop does.
             nonlocal count_reject
             fs, k = self._state_at(t)
-            cnt0 = len(fs)
+            cnt0 = fs.bit_count()
             cnt = cnt0
             if trial is not None and t < trial_end_eps:
                 cnt -= trial_const
@@ -1741,12 +1794,12 @@ class SweepCursor:
         # demand, so one pool rejection pins it to the demand sentinel.
         count_reject = 0
         pool_rejects = 0
-        trial_nodes: Optional[FrozenSet[int]] = None
+        trial_mask = 0
         trial_end_eps = 0.0
         trial_const: Optional[int] = None
         extra: Optional[float] = None
         if trial is not None:
-            trial_nodes = frozenset(trial.node_ids)
+            trial_mask = trial.mask
             trial_end_eps = trial.end - _EPS
             # The trial's end is a breakpoint the stock path would
             # have gained from add_reservation; interleave it without
@@ -1758,8 +1811,8 @@ class SweepCursor:
             # state is then a superset of the base (releases only
             # add), so the trial's overlap with any breakpoint state
             # is its full node count — an O(1) per-candidate prune.
-            if not p._reservations and trial_nodes <= p._base_free:
-                trial_const = len(trial_nodes)
+            if not p._reservations and not trial_mask & ~p._base_free:
+                trial_const = trial_mask.bit_count()
 
         if (
             self._numpy
@@ -1771,8 +1824,8 @@ class SweepCursor:
             # count-rejection walk vectorizes over the full grid.
             return self._earliest_start_numpy(
                 job, duration, remote_per_node, placement, allocator,
-                after, memory_aware, not_after, trial, trial_nodes,
-                trial_end_eps, trial_const, extra,
+                after, memory_aware, not_after, trial, trial_end_eps,
+                trial_const, extra,
             )
 
         counts = self._counts
@@ -1782,14 +1835,14 @@ class SweepCursor:
         num_res = len(reservations)
         start_times = p._res_start_times
         start_refs = p._res_start_refs
-        # Sliding window-claim state: the union of the node sets of
+        # Sliding window-claim state: the union of the node masks of
         # reservations whose start falls strictly inside the current
         # candidate window ``(t, t + duration)``.  Both edges move
         # right as the scan advances, so membership follows two
         # monotone pointers, and the union is rebuilt only when the
         # pointer pair moves.
         wi_lo = wi_hi = 0
-        claims: FrozenSet[int] = frozenset()
+        claims = 0
 
         pending_direct: Optional[float] = None
         if start == times[0]:
@@ -1862,25 +1915,23 @@ class SweepCursor:
                 k = ks[grid_j]
             else:
                 fs, k = self._state_at(t)
-                cnt0 = len(fs)
+                cnt0 = fs.bit_count()
             # Trial overlay and the O(1) count prune — the
             # overwhelmingly common rejection costs two compares.
             trial_active = trial is not None and t < trial_end_eps
             cnt = cnt0
+            free = fs
             if trial_active:
                 if trial_const is not None:
                     cnt -= trial_const
                 else:
-                    for node_id in trial_nodes:
-                        if node_id in fs:
-                            cnt -= 1
+                    cnt -= (fs & trial_mask).bit_count()
             if cnt < nodes_needed:
                 if cnt > count_reject:
                     count_reject = cnt
                 continue
-            free: FrozenSet[int] = fs
             if trial_active and cnt != cnt0:
-                free = fs.difference(trial_nodes)
+                free = fs & ~trial_mask
             t_eps = t + _EPS
             end = t + duration
             end_eps = end - _EPS
@@ -1892,19 +1943,20 @@ class SweepCursor:
                 hi = bisect_left(start_times, end_eps, max(wi_hi, lo))
                 if lo != wi_lo or hi != wi_hi:
                     wi_lo, wi_hi = lo, hi
-                    claims = frozenset().union(
-                        *[start_refs[w].node_ids for w in range(lo, hi)]
-                    )
+                    claims = 0
+                    for w in range(lo, hi):
+                        claims |= start_refs[w].mask
                 hit = free & claims
                 if hit:
-                    # ``cnt`` is ``len(free)``, so this is the windowed
-                    # count the stock scan derives node by node.
-                    windowed = cnt - len(hit)
+                    # ``cnt`` is the size of ``free``, so this is the
+                    # windowed count the stock scan derives node by
+                    # node.
+                    windowed = cnt - hit.bit_count()
                     if windowed < nodes_needed:
                         if windowed > count_reject:
                             count_reject = windowed
                         continue
-                    free = free - hit
+                    free ^= hit
             result = self._window_accept(
                 t, t_eps, end, end_eps, k, free, job, remote_per_node,
                 placement, allocator, memory_aware, trial, trial_active,
@@ -1934,7 +1986,7 @@ class SweepCursor:
         end: float,
         end_eps: float,
         k: int,
-        free: FrozenSet[int],
+        free: int,
         job: Job,
         remote_per_node: int,
         placement: "PlacementPolicy",

@@ -40,6 +40,7 @@ from typing import (
     Tuple,
 )
 
+from repro.cluster.nodeset import mask_of
 from repro.sched.profile import Reservation
 from repro.workload.job import Job
 
@@ -195,7 +196,8 @@ class OracleProfile:
             if len(free) < job.nodes:
                 continue
             node_ids = placement.select(
-                self._cluster, free, job.nodes, remote_per_node, pool_min
+                self._cluster, mask_of(free), job.nodes, remote_per_node,
+                pool_min,
             )
             if node_ids is None:
                 continue
