@@ -225,7 +225,7 @@ def explain_schedule(
             while index < len(events) and events[index][0] == time:
                 _, phase, payload = events[index]
                 if phase == _PHASE_END:
-                    cluster.release_nodes(payload.job_id, payload.assigned_nodes)
+                    cluster.release_nodes(payload.job_id)
                     cluster.release_pool(payload.job_id)
                 elif phase == _PHASE_DOWN:
                     cluster.take_down(payload)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import AllocationError
 from .fabric import Fabric
@@ -18,10 +18,16 @@ __all__ = ["Cluster"]
 class Cluster:
     """Instantiated hardware built from a :class:`ClusterSpec`.
 
-    The cluster owns state (node ownership, pool grants) and enforces
+    The cluster owns state (node occupancy, pool grants) and enforces
     capacity; it performs no policy.  Node selection and local/remote
     splitting are decided by the scheduler stack and handed in as
     explicit grant maps.
+
+    Node occupancy is a ledger of node masks: the free set, the down
+    set, and per running job ``job_id -> (node mask, per-node local
+    grant)``.  Four methods change it (:meth:`allocate_nodes`,
+    :meth:`release_nodes`, :meth:`take_down`, :meth:`bring_up`); each
+    applies in full or raises ``AllocationError`` before any mutation.
     """
 
     def __init__(self, spec: ClusterSpec) -> None:
@@ -58,11 +64,13 @@ class Cluster:
         # construction).
         self._all_mask: int = mask_of(node.node_id for node in self.nodes)
         self._free_mask: int = self._all_mask
+        self._down_mask: int = 0
+        self._holdings: Dict[int, Tuple[int, int]] = {}
         #: Monotone state-change counter: bumped by every mutation that
-        #: can affect availability (node ownership, node state, pool
+        #: can affect availability (node occupancy, node state, pool
         #: grants).  Consumers use it to validate availability caches;
-        #: direct mutation of a ``MemoryPool``/``Node`` bypasses it, so
-        #: always go through the cluster methods.
+        #: direct mutation of a ``MemoryPool`` bypasses it, so always go
+        #: through the cluster methods.
         self.version: int = 0
         # Version-batch state: within a batch (one scheduling pass)
         # the first mutation bumps the counter once and the rest are
@@ -155,13 +163,34 @@ class Cluster:
         queries)."""
         return self._all_mask
 
+    @property
+    def down_mask(self) -> int:
+        """Bitmask of node ids out of service."""
+        return self._down_mask
+
+    def node_state(self, node_id: int) -> NodeState:
+        bit = self._mask([node_id])
+        if self._free_mask & bit:
+            return NodeState.IDLE
+        return NodeState.DOWN if self._down_mask & bit else NodeState.BUSY
+
+    def holder(self, node_id: int) -> Optional[int]:
+        """The job holding ``node_id``, or None (scans the holdings)."""
+        bit = self._mask([node_id])
+        held = (job_id for job_id, (mask, _) in self._holdings.items() if mask & bit)
+        return next(held, None)
+
+    def owners(self) -> Dict[int, Tuple[int, int]]:
+        """``{node_id: (job_id, local grant MiB)}`` for every busy node."""
+        return {
+            node_id: (job_id, grant)
+            for job_id, (mask, grant) in self._holdings.items()
+            for node_id in ids_of(mask)
+        }
+
     def sorted_free_ids(self) -> List[int]:
         """Idle node ids ascending (a fresh list)."""
         return ids_of(self._free_mask)
-
-    def free_nodes(self) -> List[Node]:
-        """All idle nodes in node-id order (deterministic)."""
-        return [self.nodes[node_id] for node_id in self.sorted_free_ids()]
 
     def all_pools(self) -> List[MemoryPool]:
         """Every pool, rack pools first then global (do not mutate)."""
@@ -179,10 +208,6 @@ class Cluster:
             raise KeyError(pool_id) from None
 
     @property
-    def total_pool_free(self) -> int:
-        return sum(pool.free for pool in self.all_pools())
-
-    @property
     def total_pool_capacity(self) -> int:
         return sum(pool.capacity for pool in self.all_pools())
 
@@ -193,6 +218,18 @@ class Cluster:
     # ------------------------------------------------------------------
     # allocation (called by the engine with scheduler-chosen grants)
     # ------------------------------------------------------------------
+    def _mask(self, node_ids: List[int]) -> int:
+        """The mask of ``node_ids``, checked against ``0..N-1`` before
+        any bit is built; raises on an unknown or repeated id."""
+        try:
+            if not node_ids or (min(node_ids) >= 0 and max(node_ids) < len(self.nodes)):
+                mask = mask_of(node_ids)
+                if mask.bit_count() == len(node_ids):
+                    return mask
+        except TypeError:
+            pass
+        raise AllocationError(f"unknown or repeated node id in {node_ids!r}")
+
     def allocate_nodes(
         self,
         job_id: int,
@@ -202,49 +239,58 @@ class Cluster:
         """Assign ``node_ids`` exclusively to ``job_id``.
 
         ``local_grant`` is the per-node local-memory grant.  The call is
-        atomic: on failure, nothing is allocated.
+        atomic: it raises :class:`AllocationError` before any mutation
+        when an id is unknown or repeated, a node is busy or down, the
+        job already holds nodes, or the grant falls outside
+        ``[0, local_mem]``.
         """
-        node_ids = list(node_ids)
-        taken: List[Node] = []
-        try:
-            for node_id in node_ids:
-                node = self.nodes[node_id]
-                node.allocate(job_id, local_grant)
-                taken.append(node)
-        except AllocationError:
-            for node in taken:
-                node.release(job_id)
-            raise
-        self._free_mask &= ~mask_of(node_ids)
+        mask = self._mask(list(node_ids))
+        if mask & ~self._free_mask:
+            raise AllocationError(
+                f"nodes {ids_of(mask & ~self._free_mask)} are busy or down, "
+                f"cannot allocate to job {job_id}"
+            )
+        if job_id in self._holdings:
+            raise AllocationError(f"job {job_id} already holds nodes")
+        if not 0 <= local_grant <= self.spec.node.local_mem:
+            raise AllocationError(
+                f"local grant {local_grant} MiB outside "
+                f"[0, {self.spec.node.local_mem}] for job {job_id}"
+            )
+        self._free_mask ^= mask
+        self._holdings[job_id] = (mask, local_grant)
         self._bump_version()
 
-    def release_nodes(self, job_id: int, node_ids: Iterable[int]) -> None:
-        node_ids = list(node_ids)
-        for node_id in node_ids:
-            self.nodes[node_id].release(job_id)
-        self._free_mask |= mask_of(node_ids)
+    def release_nodes(self, job_id: int) -> None:
+        """Return every node ``job_id`` holds to the free set."""
+        try:
+            mask, _ = self._holdings.pop(job_id)
+        except KeyError:
+            raise AllocationError(f"job {job_id} holds no nodes") from None
+        self._free_mask |= mask
         self._bump_version()
 
     def take_down(self, node_id: int) -> None:
         """Remove an idle node from service (failure injection).
 
         The caller must release any running job first; taking down a
-        busy node raises.
+        busy node raises.  Taking down a node that is already down
+        changes nothing but the version.
         """
-        node = self.nodes[node_id]
-        was_free = node.is_free
-        node.mark_down()
+        bit = self._mask([node_id])
+        if not (self._free_mask | self._down_mask) & bit:
+            raise AllocationError(f"node {node_id} is busy; release it first")
+        self._free_mask &= ~bit
+        self._down_mask |= bit
         self._bump_version()
-        if was_free:
-            self._free_mask &= ~(1 << node_id)
 
     def bring_up(self, node_id: int) -> None:
         """Return a DOWN node to service."""
-        node = self.nodes[node_id]
-        if node.state is NodeState.DOWN:
-            node.mark_up()
+        bit = self._mask([node_id])
+        if self._down_mask & bit:
+            self._down_mask ^= bit
+            self._free_mask |= bit
             self._bump_version()
-            self._free_mask |= 1 << node_id
 
     def allocate_pool(self, job_id: int, grants: Dict[str, int]) -> None:
         """Apply pool grants ``{pool_id: MiB}`` atomically for ``job_id``."""
@@ -279,13 +325,14 @@ class Cluster:
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Cheap state snapshot for metrics sampling."""
-        free_count = self.free_node_count
+        free_count = self._free_mask.bit_count()
         return {
             "free_nodes": free_count,
             "busy_nodes": self.num_nodes - free_count
-            - sum(1 for node in self.nodes if node.state is NodeState.DOWN),
+            - self._down_mask.bit_count(),
             "local_mem_granted": sum(
-                node.local_grant for node in self.nodes if not node.is_free
+                mask.bit_count() * grant
+                for mask, grant in self._holdings.values()
             ),
             "pool_used": self.total_pool_used,
             "pool_capacity": self.total_pool_capacity,

@@ -30,15 +30,11 @@ class Rack:
         return len(self.nodes)
 
     @property
-    def free_nodes(self) -> int:
-        return sum(1 for node in self.nodes if node.is_free)
-
-    @property
     def pool_free(self) -> int:
         return self.pool.free if self.pool is not None else 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Rack(id={self.rack_id}, nodes={self.num_nodes}, "
-            f"free={self.free_nodes}, pool_free={self.pool_free} MiB)"
+            f"pool_free={self.pool_free} MiB)"
         )

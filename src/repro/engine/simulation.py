@@ -631,13 +631,11 @@ class SchedulerSimulation:
         repair_at = failure.time + failure.repair_time
         if repair_at <= self._sim.now:
             return  # failed and repaired entirely before the sim began
-        node = self.cluster.node(failure.node_id)
-        if node.state is NodeState.DOWN:
+        if self.cluster.node_state(failure.node_id) is NodeState.DOWN:
             return  # overlapping failure while already down: absorbed
-        if node.state is NodeState.BUSY:
-            victim = next(
-                job for job in self._running if job.job_id == node.job_id
-            )
+        owner = self.cluster.holder(failure.node_id)
+        if owner is not None:
+            victim = self._jobs_by_id[owner]
             end_event = self._end_events.pop(victim.job_id, None)
             if end_event is not None:
                 self._sim.cancel(end_event)
@@ -817,7 +815,7 @@ class SchedulerSimulation:
         try:
             self.cluster.allocate_pool(job.job_id, decision.plan)
         except Exception:
-            self.cluster.release_nodes(job.job_id, decision.node_ids)
+            self.cluster.release_nodes(job.job_id)
             raise
         if self._txn is None and self._ledger_enabled:
             self._ledger.record_grant(
@@ -888,7 +886,7 @@ class SchedulerSimulation:
 
     def _release(self, job: Job) -> None:
         version_before = self.cluster.version
-        self.cluster.release_nodes(job.job_id, job.assigned_nodes)
+        self.cluster.release_nodes(job.job_id)
         self.cluster.release_pool(job.job_id)
         if self._ledger_enabled:
             self._ledger.record_release(self._sim.now, job.job_id)

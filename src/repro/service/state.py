@@ -31,17 +31,20 @@ def build_state_document(
     """Assemble the state document.  Engine-thread only."""
     engine = service.engine
     cluster = service.cluster
-    nodes: List[Dict[str, Any]] = [
-        {
-            "node_id": node.node_id,
-            "rack_id": node.rack_id,
-            "state": node.state.value,
-            "job_id": node.job_id,
-            "local_grant_mib": node.local_grant,
-            "local_mem_mib": node.local_mem,
-        }
-        for node in cluster.nodes
-    ]
+    owners = cluster.owners()
+    nodes: List[Dict[str, Any]] = []
+    for node in cluster.nodes:
+        job_id, grant = owners.get(node.node_id, (None, 0))
+        nodes.append(
+            {
+                "node_id": node.node_id,
+                "rack_id": node.rack_id,
+                "state": cluster.node_state(node.node_id).value,
+                "job_id": job_id,
+                "local_grant_mib": grant,
+                "local_mem_mib": node.local_mem,
+            }
+        )
     pools: List[Dict[str, Any]] = []
     for rack in cluster.racks:
         if rack.pool is not None:

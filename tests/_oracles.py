@@ -24,6 +24,11 @@ optimized profile (``test_profile_equivalence.py``,
 ``test_profile_properties.py``, ``test_release_folding.py``).  The
 end-to-end scheduler suites no longer run an oracle at all — they
 compare against pinned golden digests (see ``tests/_golden.py``).
+
+:class:`OracleOccupancy` is the reference model of the cluster's
+occupancy ledger: node ownership kept node by node, each node a small
+IDLE/BUSY/DOWN state machine (:class:`OracleNode`).
+``test_cluster.py`` runs seeded random scripts against both.
 """
 
 from __future__ import annotations
@@ -40,7 +45,10 @@ from typing import (
     Tuple,
 )
 
+from repro.cluster.node import NodeState
 from repro.cluster.nodeset import mask_of
+from repro.cluster.pool import MemoryPool
+from repro.errors import AllocationError
 from repro.sched.profile import Reservation
 from repro.workload.job import Job
 
@@ -71,9 +79,7 @@ class OracleProfile:
     ) -> None:
         self._cluster = cluster
         self._now = now
-        self._free_now: FrozenSet[int] = frozenset(
-            node.node_id for node in cluster.free_nodes()
-        )
+        self._free_now: FrozenSet[int] = frozenset(cluster.sorted_free_ids())
         self._pool_now: Dict[str, int] = {
             pool.pool_id: pool.free for pool in cluster.all_pools()
         }
@@ -218,3 +224,118 @@ class OracleProfile:
                 pool_grants=tuple(sorted((plan or {}).items())),
             )
         return None
+
+
+class OracleNode:
+    """One node's occupancy as a state machine: IDLE, BUSY (owned by
+    ``job_id`` with ``local_grant`` MiB) or DOWN."""
+
+    __slots__ = ("node_id", "local_mem", "state", "job_id", "local_grant")
+
+    def __init__(self, node_id: int, local_mem: int) -> None:
+        self.node_id = node_id
+        self.local_mem = local_mem
+        self.state = NodeState.IDLE
+        self.job_id: Optional[int] = None
+        self.local_grant = 0
+
+    def allocate(self, job_id: int, local_grant: int) -> None:
+        if self.state is not NodeState.IDLE:
+            raise AllocationError(f"node {self.node_id} is {self.state.value}")
+        if local_grant < 0 or local_grant > self.local_mem:
+            raise AllocationError(f"local grant {local_grant} out of range")
+        self.state = NodeState.BUSY
+        self.job_id = job_id
+        self.local_grant = local_grant
+
+    def release(self, job_id: int) -> None:
+        if self.state is not NodeState.BUSY or self.job_id != job_id:
+            raise AllocationError(f"node {self.node_id} not held by {job_id}")
+        self.state = NodeState.IDLE
+        self.job_id = None
+        self.local_grant = 0
+
+    def mark_down(self) -> None:
+        if self.state is NodeState.BUSY:
+            raise AllocationError(f"node {self.node_id} is busy")
+        self.state = NodeState.DOWN
+
+    def mark_up(self) -> None:
+        if self.state is NodeState.DOWN:
+            self.state = NodeState.IDLE
+
+
+class OracleOccupancy:
+    """Node occupancy and one global pool, with the ``Cluster`` method
+    contract: a call that raises changes nothing, and every successful
+    mutation bumps ``version`` exactly as the cluster does."""
+
+    def __init__(self, num_nodes: int, local_mem: int, pool_capacity: int) -> None:
+        self.nodes = [OracleNode(node_id, local_mem) for node_id in range(num_nodes)]
+        self.pool = MemoryPool("global", pool_capacity)
+        self.version = 0
+
+    def _node(self, node_id: int) -> OracleNode:
+        if not isinstance(node_id, int) or not 0 <= node_id < len(self.nodes):
+            raise AllocationError(f"unknown node id {node_id!r}")
+        return self.nodes[node_id]
+
+    def allocate_nodes(self, job_id: int, node_ids: Iterable[int], local_grant: int) -> None:
+        nodes = [self._node(node_id) for node_id in node_ids]
+        if len(set(map(id, nodes))) != len(nodes):
+            raise AllocationError("repeated node id")
+        if any(node.job_id == job_id for node in self.nodes):
+            raise AllocationError(f"job {job_id} already holds nodes")
+        taken: List[OracleNode] = []
+        try:
+            for node in nodes:
+                node.allocate(job_id, local_grant)
+                taken.append(node)
+        except AllocationError:
+            for node in taken:
+                node.release(job_id)
+            raise
+        self.version += 1
+
+    def release_nodes(self, job_id: int) -> None:
+        held = [node for node in self.nodes if node.job_id == job_id]
+        if not held:
+            raise AllocationError(f"job {job_id} holds no nodes")
+        for node in held:
+            node.release(job_id)
+        self.version += 1
+
+    def take_down(self, node_id: int) -> None:
+        self._node(node_id).mark_down()
+        self.version += 1
+
+    def bring_up(self, node_id: int) -> None:
+        node = self._node(node_id)
+        if node.state is NodeState.DOWN:
+            node.mark_up()
+            self.version += 1
+
+    def allocate_pool(self, job_id: int, amount: int) -> None:
+        if amount > 0:
+            self.pool.allocate(job_id, amount)
+        self.version += 1
+
+    def release_pool(self, job_id: int) -> int:
+        self.version += 1
+        return self.pool.release_if_held(job_id)
+
+    @property
+    def free_mask(self) -> int:
+        return mask_of(
+            node.node_id for node in self.nodes if node.state is NodeState.IDLE
+        )
+
+    def snapshot(self) -> dict:
+        states = [node.state for node in self.nodes]
+        return {
+            "free_nodes": states.count(NodeState.IDLE),
+            "busy_nodes": states.count(NodeState.BUSY),
+            "local_mem_granted": sum(node.local_grant for node in self.nodes),
+            "pool_used": self.pool.used,
+            "pool_capacity": self.pool.capacity,
+        }

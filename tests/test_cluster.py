@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster import Cluster, ClusterSpec, MemoryPool, Node, NodeSpec, NodeState, PoolSpec
+from repro.cluster import Cluster, ClusterSpec, MemoryPool, NodeSpec, NodeState, PoolSpec
 from repro.errors import AllocationError, ConfigurationError
 from repro.units import GiB
+
+from ._oracles import OracleOccupancy
 
 
 class TestSpecs:
@@ -99,60 +103,213 @@ class TestSpecs:
         assert spec.pool.global_pool == 1024 * GiB
 
 
-class TestNode:
-    def test_allocate_release_cycle(self):
-        node = Node(0, 0, cores=8, local_mem=16 * GiB)
-        assert node.is_free
-        node.allocate(job_id=7, local_grant=8 * GiB)
-        assert not node.is_free
-        assert node.job_id == 7
-        assert node.local_grant == 8 * GiB
-        node.release(job_id=7)
-        assert node.is_free
-        assert node.local_grant == 0
+def _ledger_state(cluster):
+    """Everything the occupancy ledger exposes, for unchanged-after checks."""
+    return (
+        cluster.free_mask,
+        cluster.down_mask,
+        cluster.owners(),
+        cluster.snapshot(),
+        cluster.version,
+    )
 
-    def test_double_allocate_rejected(self):
-        node = Node(0, 0, 8, 16 * GiB)
-        node.allocate(1, 0)
-        with pytest.raises(AllocationError):
-            node.allocate(2, 0)
 
-    def test_release_wrong_owner_rejected(self):
-        node = Node(0, 0, 8, 16 * GiB)
-        node.allocate(1, 0)
-        with pytest.raises(AllocationError):
-            node.release(2)
+class TestLedger:
+    """Node occupancy as kept by the cluster's ledger."""
 
-    def test_release_idle_rejected(self):
-        node = Node(0, 0, 8, 16 * GiB)
-        with pytest.raises(AllocationError):
-            node.release(1)
+    def test_allocate_release_cycle(self, tiny_cluster):
+        assert tiny_cluster.node_state(0) is NodeState.IDLE
+        tiny_cluster.allocate_nodes(7, [0], local_grant=8 * GiB)
+        assert tiny_cluster.node_state(0) is NodeState.BUSY
+        assert tiny_cluster.holder(0) == 7
+        assert tiny_cluster.owners() == {0: (7, 8 * GiB)}
+        tiny_cluster.release_nodes(7)
+        assert tiny_cluster.node_state(0) is NodeState.IDLE
+        assert tiny_cluster.holder(0) is None
+        assert tiny_cluster.owners() == {}
+        assert tiny_cluster.snapshot()["local_mem_granted"] == 0
 
-    def test_grant_beyond_capacity_rejected(self):
-        node = Node(0, 0, 8, 16 * GiB)
-        with pytest.raises(AllocationError):
-            node.allocate(1, 17 * GiB)
+    def test_double_allocate_rejected(self, tiny_cluster):
+        tiny_cluster.allocate_nodes(1, [0], 0)
+        before = _ledger_state(tiny_cluster)
+        with pytest.raises(AllocationError, match="busy or down"):
+            tiny_cluster.allocate_nodes(2, [0], 0)
+        assert _ledger_state(tiny_cluster) == before
 
-    def test_negative_grant_rejected(self):
-        node = Node(0, 0, 8, 16 * GiB)
+    def test_release_wrong_owner_rejected(self, tiny_cluster):
+        tiny_cluster.allocate_nodes(1, [0], 0)
+        before = _ledger_state(tiny_cluster)
         with pytest.raises(AllocationError):
-            node.allocate(1, -1)
+            tiny_cluster.release_nodes(2)
+        assert _ledger_state(tiny_cluster) == before
 
-    def test_down_state(self):
-        node = Node(0, 0, 8, 16 * GiB)
-        node.mark_down()
-        assert node.state is NodeState.DOWN
-        assert not node.is_free
+    def test_release_idle_rejected(self, tiny_cluster):
+        before = _ledger_state(tiny_cluster)
         with pytest.raises(AllocationError):
-            node.allocate(1, 0)
-        node.mark_up()
-        assert node.is_free
+            tiny_cluster.release_nodes(1)
+        assert _ledger_state(tiny_cluster) == before
 
-    def test_busy_node_cannot_go_down(self):
-        node = Node(0, 0, 8, 16 * GiB)
-        node.allocate(1, 0)
+    def test_grant_beyond_capacity_rejected(self, tiny_cluster):
+        before = _ledger_state(tiny_cluster)
         with pytest.raises(AllocationError):
-            node.mark_down()
+            tiny_cluster.allocate_nodes(1, [0], 17 * GiB)
+        assert _ledger_state(tiny_cluster) == before
+
+    def test_negative_grant_rejected(self, tiny_cluster):
+        before = _ledger_state(tiny_cluster)
+        with pytest.raises(AllocationError):
+            tiny_cluster.allocate_nodes(1, [0], -1)
+        assert _ledger_state(tiny_cluster) == before
+
+    def test_down_state(self, tiny_cluster):
+        tiny_cluster.take_down(0)
+        assert tiny_cluster.node_state(0) is NodeState.DOWN
+        assert tiny_cluster.down_mask == 0b0001
+        assert tiny_cluster.free_mask == 0b1110
+        with pytest.raises(AllocationError, match="busy or down"):
+            tiny_cluster.allocate_nodes(1, [0], 0)
+        tiny_cluster.bring_up(0)
+        assert tiny_cluster.node_state(0) is NodeState.IDLE
+        assert tiny_cluster.free_mask == 0b1111
+
+    def test_busy_node_cannot_go_down(self, tiny_cluster):
+        tiny_cluster.allocate_nodes(1, [0], 0)
+        before = _ledger_state(tiny_cluster)
+        with pytest.raises(AllocationError):
+            tiny_cluster.take_down(0)
+        assert _ledger_state(tiny_cluster) == before
+
+    def test_job_holding_twice_rejected(self, tiny_cluster):
+        tiny_cluster.allocate_nodes(1, [0], 0)
+        before = _ledger_state(tiny_cluster)
+        with pytest.raises(AllocationError, match="already holds"):
+            tiny_cluster.allocate_nodes(1, [1], 0)
+        assert _ledger_state(tiny_cluster) == before
+
+    def test_version_arithmetic(self, tiny_cluster):
+        tiny_cluster.take_down(0)
+        tiny_cluster.take_down(0)  # already down: the version still moves
+        assert tiny_cluster.version == 2
+        tiny_cluster.bring_up(1)  # not down: nothing changes
+        assert tiny_cluster.version == 2
+        tiny_cluster.bring_up(0)
+        assert tiny_cluster.version == 3
+
+    @pytest.mark.parametrize(
+        "node_ids",
+        [[-1], [4], [0, -1], [3, 4], [0, 10**15], [0, 0], [1, 2, 1], [1.0], ["0"]],
+    )
+    def test_bad_ids_rejected_before_mutation(self, tiny_cluster, node_ids):
+        tiny_cluster.allocate_nodes(9, [3], 0)
+        before = _ledger_state(tiny_cluster)
+        with pytest.raises(AllocationError):
+            tiny_cluster.allocate_nodes(1, node_ids, 0)
+        assert _ledger_state(tiny_cluster) == before
+
+    @pytest.mark.parametrize("node_id", [-1, 4, 10**12, 1.0, None])
+    def test_bad_id_take_down_bring_up_rejected(self, tiny_cluster, node_id):
+        tiny_cluster.take_down(2)
+        before = _ledger_state(tiny_cluster)
+        for op in (tiny_cluster.take_down, tiny_cluster.bring_up):
+            with pytest.raises(AllocationError, match="unknown or repeated"):
+                op(node_id)
+            assert _ledger_state(tiny_cluster) == before
+
+
+def _ledger_script(rng, num_nodes, local_mem, pool_capacity, steps):
+    """A seeded random mix of ledger calls, valid and invalid."""
+    for _ in range(steps):
+        kind = rng.choice(
+            ["allocate", "allocate", "start", "start", "finish", "finish",
+             "release", "take_down", "bring_up"]
+        )
+        job_id = rng.randrange(1, 7)
+        if kind in ("allocate", "start"):
+            count = rng.randrange(1, 4)
+            if rng.random() < 0.8:
+                node_ids = rng.sample(range(num_nodes), count)
+            else:  # unknown or repeated ids
+                node_ids = [rng.randrange(-1, num_nodes + 1) for _ in range(count)]
+            grant = rng.choice([0, local_mem // 2, local_mem])
+            if rng.random() < 0.1:
+                grant = rng.choice([-1, local_mem + 1])
+            yield kind, job_id, node_ids, grant, rng.randrange(pool_capacity)
+        elif kind in ("take_down", "bring_up"):
+            yield kind, rng.randrange(-1, num_nodes + 1)
+        else:
+            yield kind, job_id
+
+
+def _apply(target, step):
+    """Run one script step on a Cluster or an OracleOccupancy; returns
+    whether it raised.  ``start`` is the engine's start path: nodes,
+    then pool, rolling the nodes back when the pool refuses."""
+    kind = step[0]
+    try:
+        if kind == "allocate":
+            target.allocate_nodes(step[1], step[2], step[3])
+        elif kind == "start":
+            _, job_id, node_ids, grant, amount = step
+            target.allocate_nodes(job_id, node_ids, grant)
+            try:
+                _pool_grant(target, job_id, amount)
+            except AllocationError:
+                target.release_nodes(job_id)
+                raise
+        elif kind == "finish":
+            target.release_nodes(step[1])
+            target.release_pool(step[1])
+        elif kind == "release":
+            target.release_nodes(step[1])
+        elif kind == "take_down":
+            target.take_down(step[1])
+        else:
+            target.bring_up(step[1])
+    except AllocationError:
+        return True
+    return False
+
+
+def _pool_grant(target, job_id, amount):
+    if isinstance(target, Cluster):
+        target.allocate_pool(job_id, {"global": amount})
+    else:
+        target.allocate_pool(job_id, amount)
+
+
+class TestLedgerDifferential:
+    """The ledger against the per-node reference model, step by step."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_scripts_agree(self, seed):
+        rng = random.Random(seed)
+        num_nodes = rng.choice([8, 16, 70])
+        spec = ClusterSpec(
+            num_nodes=num_nodes,
+            nodes_per_rack=4,
+            node=NodeSpec(local_mem=16 * GiB),
+            pool=PoolSpec(global_pool=40 * GiB),
+        )
+        cluster = Cluster(spec)
+        oracle = OracleOccupancy(num_nodes, 16 * GiB, 40 * GiB)
+        script = _ledger_script(rng, num_nodes, 16 * GiB, 40 * GiB, 300)
+        raised_any = 0
+        for step in script:
+            raised = _apply(cluster, step)
+            assert raised == _apply(oracle, step), step
+            raised_any += raised
+            assert cluster.free_mask == oracle.free_mask, step
+            assert cluster.version == oracle.version, step
+            assert cluster.snapshot() == oracle.snapshot(), step
+            for node in oracle.nodes:
+                assert cluster.node_state(node.node_id) is node.state
+                assert cluster.holder(node.node_id) == node.job_id
+            assert cluster.owners() == {
+                node.node_id: (node.job_id, node.local_grant)
+                for node in oracle.nodes
+                if node.job_id is not None
+            }
+        assert 0 < raised_any < 300  # both outcomes exercised
 
 
 class TestMemoryPool:
@@ -250,23 +407,23 @@ class TestCluster:
     def test_allocate_release_nodes(self, tiny_cluster):
         tiny_cluster.allocate_nodes(1, [0, 2], local_grant=8 * GiB)
         assert tiny_cluster.free_node_count == 2
-        assert not tiny_cluster.node(0).is_free
-        assert tiny_cluster.node(1).is_free
-        tiny_cluster.release_nodes(1, [0, 2])
+        assert tiny_cluster.node_state(0) is NodeState.BUSY
+        assert tiny_cluster.node_state(1) is NodeState.IDLE
+        tiny_cluster.release_nodes(1)
         assert tiny_cluster.free_node_count == 4
 
     def test_allocate_nodes_atomic_on_failure(self, tiny_cluster):
         tiny_cluster.allocate_nodes(1, [2], local_grant=0)
         with pytest.raises(AllocationError):
             tiny_cluster.allocate_nodes(2, [0, 1, 2], local_grant=0)
-        # Nodes 0 and 1 must have been rolled back.
-        assert tiny_cluster.node(0).is_free
-        assert tiny_cluster.node(1).is_free
+        # Nodes 0 and 1 must not have been taken.
+        assert tiny_cluster.node_state(0) is NodeState.IDLE
+        assert tiny_cluster.node_state(1) is NodeState.IDLE
         assert tiny_cluster.free_node_count == 3
 
-    def test_free_nodes_deterministic_order(self, tiny_cluster):
+    def test_free_ids_deterministic_order(self, tiny_cluster):
         tiny_cluster.allocate_nodes(1, [1], local_grant=0)
-        assert [n.node_id for n in tiny_cluster.free_nodes()] == [0, 2, 3]
+        assert tiny_cluster.sorted_free_ids() == [0, 2, 3]
 
     def test_allocate_pool_atomic(self, pooled_cluster):
         # rack0 pool has 64 GiB; ask rack0=50 and global=more than free.

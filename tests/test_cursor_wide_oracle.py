@@ -246,7 +246,7 @@ def _run_script(seed: int) -> None:
                 job.assigned_nodes, job.pool_grants,
                 job.start_time + _dur(job),
             )
-            cluster.release_nodes(job.job_id, job.assigned_nodes)
+            cluster.release_nodes(job.job_id)
             cluster.release_pool(job.job_id)
         elif roll < 0.47:
             later = now + rng.choice((1.0, STEP / 4))

@@ -381,7 +381,7 @@ class TestTransactionPieces:
         cluster.allocate_nodes(2, [2], 4 * GiB)
         cluster.end_version_batch()
         assert cluster.version == before + 1
-        cluster.release_nodes(1, [0, 1])  # outside a batch: bumps again
+        cluster.release_nodes(1)  # outside a batch: bumps again
         assert cluster.version == before + 2
 
     def test_ledger_batch_matches_sequential(self):

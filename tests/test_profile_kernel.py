@@ -147,7 +147,7 @@ def _run_script(seed: int, kernel: str):
                     held.pop(rng.randrange(len(held))))
             elif roll < 0.9 and running:
                 victim = running.pop(rng.randrange(len(running)))
-                cluster.release_nodes(victim.job_id, victim.assigned_nodes)
+                cluster.release_nodes(victim.job_id)
                 cluster.release_pool(victim.job_id)
                 assert profile.apply_release(
                     victim.assigned_nodes, victim.pool_grants,
@@ -266,7 +266,7 @@ class TestKernelDtypes:
         if cursor._numpy:
             assert cursor._sync_counts().dtype == numpy.int64
         victim = running.pop()
-        cluster.release_nodes(victim.job_id, victim.assigned_nodes)
+        cluster.release_nodes(victim.job_id)
         cluster.release_pool(victim.job_id)
         assert profile.apply_release(
             victim.assigned_nodes, victim.pool_grants,

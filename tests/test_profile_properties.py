@@ -478,7 +478,7 @@ class TestFoldDivergenceHunt:
                     data.draw(st.integers(0, len(running) - 1),
                               label=f"victim_{step}")
                 )
-                cluster.release_nodes(victim.job_id, victim.assigned_nodes)
+                cluster.release_nodes(victim.job_id)
                 cluster.release_pool(victim.job_id)
                 assert profile.apply_release(
                     victim.assigned_nodes, victim.pool_grants,
@@ -550,7 +550,7 @@ class TestFoldRegressions:
         cursor = profile.sweep_cursor()
         cursor._materialize_to(len(cursor._times) - 1)
         running.remove(a)
-        cluster.release_nodes(a.job_id, a.assigned_nodes)
+        cluster.release_nodes(a.job_id)
         assert profile.apply_release(a.assigned_nodes, {}, 120.0)
         assert 120.0 not in profile.sweep_cursor()._times
         _assert_fold_state(cluster, running, [], profile)
@@ -569,7 +569,7 @@ class TestFoldRegressions:
         cursor = profile.sweep_cursor()
         cursor._materialize_to(len(cursor._times) - 1)
         running.remove(a)
-        cluster.release_nodes(a.job_id, a.assigned_nodes)
+        cluster.release_nodes(a.job_id)
         assert profile.apply_release(a.assigned_nodes, {}, 300.0)
         free, _ = profile.free_at(120.0)
         assert 0 not in free and 1 in free
@@ -587,7 +587,7 @@ class TestFoldRegressions:
         cursor._materialize_to(len(cursor._times) - 1)
         assert math.inf in cursor._times
         running.remove(a)
-        cluster.release_nodes(a.job_id, a.assigned_nodes)
+        cluster.release_nodes(a.job_id)
         assert profile.apply_release(a.assigned_nodes, {}, 120.0)
         assert math.inf in profile.sweep_cursor()._times
         _assert_fold_state(cluster, running, [], profile)
@@ -608,7 +608,7 @@ class TestFoldRegressions:
         cursor = profile.sweep_cursor()
         cursor._materialize_to(len(cursor._times) - 1)
         running.remove(a)
-        cluster.release_nodes(a.job_id, a.assigned_nodes)
+        cluster.release_nodes(a.job_id)
         assert profile.apply_release(a.assigned_nodes, {}, 120.0)
         assert 120.0 in profile.sweep_cursor()._times
         _assert_fold_state(cluster, running, [res], profile)

@@ -150,7 +150,7 @@ class TestApplyReleaseUnit:
         while running:
             _materialize_random_prefix(rng, profile)
             victim = running.pop(rng.randrange(len(running)))
-            cluster.release_nodes(victim.job_id, victim.assigned_nodes)
+            cluster.release_nodes(victim.job_id)
             cluster.release_pool(victim.job_id)
             est_end = victim.start_time + _duration_of(victim)
             assert profile.apply_release(
@@ -178,7 +178,7 @@ class TestApplyReleaseUnit:
             _materialize_random_prefix(rng, profile)
             if running and rng.random() < 0.5:
                 victim = running.pop(rng.randrange(len(running)))
-                cluster.release_nodes(victim.job_id, victim.assigned_nodes)
+                cluster.release_nodes(victim.job_id)
                 cluster.release_pool(victim.job_id)
                 est_end = victim.start_time + _duration_of(victim)
                 assert profile.apply_release(
@@ -394,7 +394,7 @@ def _complete(sched, cluster, job, running, now):
     """Engine-faithful completion: resources released first, then the
     notification hook, with the pre-release version stamp."""
     version_before = cluster.version
-    cluster.release_nodes(job.job_id, job.assigned_nodes)
+    cluster.release_nodes(job.job_id)
     cluster.release_pool(job.job_id)
     running.remove(job)
     return sched.backfill.on_release(sched, cluster, job, now, version_before)

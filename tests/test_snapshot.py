@@ -20,7 +20,7 @@ import pytest
 from repro.config import ExperimentConfig
 from repro.engine.failures import exponential_failure_trace
 from repro.engine.simulation import SchedulerSimulation
-from repro.errors import SimulationError
+from repro.errors import AllocationError, SimulationError
 from repro.service.core import default_service_config
 from repro.service.protocol import job_to_record
 from repro.sim.rng import RandomStreams
@@ -170,6 +170,41 @@ class TestRoundTrip:
         )
         with pytest.raises(SimulationError):
             sim.checkpoint()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            {"down_nodes": [-1]},
+            {"down_nodes": [10**6]},
+            {"assigned_nodes": [-1]},
+            {"assigned_nodes": "repeat"},
+        ],
+        ids=["down-negative", "down-too-large", "assigned-negative",
+             "assigned-repeated"],
+    )
+    def test_restore_rejects_unknown_node_ids(self, corrupt):
+        config = small_config(num_jobs=30)
+        jobs = config.build_jobs()
+        engine = build_online(config, jobs)
+        engine.advance_to(jobs[len(jobs) // 2].submit_time)
+        snapshot = json.loads(json.dumps(engine.checkpoint()))
+        assert snapshot["running"]
+        if "down_nodes" in corrupt:
+            snapshot["down_nodes"] = corrupt["down_nodes"]
+        else:
+            running = next(
+                doc for doc in snapshot["jobs"]
+                if doc["job_id"] == snapshot["running"][0]
+            )
+            ids = corrupt["assigned_nodes"]
+            if ids == "repeat":
+                ids = [running["assigned_nodes"][0]] * 2
+            running["assigned_nodes"] = ids
+            running["nodes"] = len(ids)
+        with pytest.raises(AllocationError):
+            SchedulerSimulation.restore(
+                config.build_cluster(), config.build_scheduler(), snapshot
+            )
 
     def test_restore_rejects_unknown_schema(self):
         config = small_config(num_jobs=5)

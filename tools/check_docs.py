@@ -11,8 +11,9 @@ Two cheap, dependency-free invariants:
    External links (``http(s)://``, ``mailto:``) are not touched —
    CI must not depend on the network.
 
-2. **Module docstrings in the scheduler core.**  Every ``*.py`` under
-   ``src/repro/sched/`` carries a module docstring — the architecture
+2. **Module docstrings in the core.**  Every ``*.py`` under the
+   ``DOCSTRING_TREES`` (the scheduler, service, audit, cluster and
+   engine packages) carries a module docstring — the architecture
    book leans on them, and the bit-identity contracts live there.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
@@ -33,7 +34,13 @@ REPO = Path(__file__).resolve().parent.parent
 LINKED_DOCS = ("README.md", "docs", "benchmarks/perf/README.md")
 
 #: Python trees whose modules must carry docstrings.
-DOCSTRING_TREES = ("src/repro/sched", "src/repro/service", "src/repro/audit")
+DOCSTRING_TREES = (
+    "src/repro/sched",
+    "src/repro/service",
+    "src/repro/audit",
+    "src/repro/cluster",
+    "src/repro/engine",
+)
 
 # [text](target) — good enough for the hand-written markdown here;
 # skips images' alt-text edge cases by accepting them identically.
